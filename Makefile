@@ -24,11 +24,12 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent packages (stream client/server,
-# chaos simulator, metrics registry, parallel ingestion, collector CLI).
+# chaos simulator, metrics registry, parallel ingestion, analytics engine,
+# collector CLI).
 # -short skips the scale-1.0 end of the suite; the concurrency paths are
 # fully exercised.
 race:
-	$(GO) test -race -short ./internal/obs/... ./internal/twitter/ ./internal/pipeline/ ./internal/userstore/ ./internal/cluster/ ./internal/serve/ ./cmd/...
+	$(GO) test -race -short ./internal/obs/... ./internal/twitter/ ./internal/pipeline/ ./internal/userstore/ ./internal/cluster/ ./internal/report/ ./internal/serve/ ./cmd/...
 
 check: build vet test race
 

@@ -258,7 +258,7 @@ func cmdAnalyze(args []string) error {
 	in := fs.String("in", "corpus.ndjson", "input NDJSON corpus (- for stdin)")
 	k := fs.Int("k", 12, "user cluster count (Figure 7)")
 	sweep := fs.String("sweep", "6,8,10,12,14,16", "comma-separated ks for the model-selection sweep (empty to skip)")
-	sil := fs.Int("silhouette-sample", 2000, "silhouette sample size (0 = exact)")
+	sil := fs.Int("silhouette-sample", 0, "sweep silhouette sample size (0 = exact over all users)")
 	extensions := fs.Bool("extensions", false, "also print multiple-testing corrections and the temporal burst sensor")
 	workers := fs.Int("workers", 0, "pipeline and analysis workers (0 = GOMAXPROCS; any value gives identical results)")
 	exportDir := fs.String("export", "", "directory to write CSV/JSON results into (empty = no export)")
@@ -298,7 +298,7 @@ func cmdCollect(args []string) error {
 	maxTweets := fs.Int("max", 0, "stop after this many collected tweets (0 = until stream ends)")
 	k := fs.Int("k", 12, "user cluster count (Figure 7)")
 	sweep := fs.String("sweep", "", "comma-separated ks for the model-selection sweep")
-	sil := fs.Int("silhouette-sample", 2000, "silhouette sample size (0 = exact)")
+	sil := fs.Int("silhouette-sample", 0, "sweep silhouette sample size (0 = exact over all users)")
 	workers := fs.Int("workers", 1, "extract/geocode workers for live collection (0 = GOMAXPROCS, 1 = sequential)")
 	checkpoint := fs.String("checkpoint", "", "checkpoint file: load on start (if present), save periodically and on shutdown")
 	checkpointEvery := fs.Duration("checkpoint-every", 30*time.Second, "interval between periodic checkpoint saves")
@@ -738,7 +738,7 @@ func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("in", "corpus.ndjson", "input NDJSON corpus")
 	addr := fs.String("addr", ":7700", "listen address")
-	rate := fs.Float64("rate", 0, "tweets per second (0 = as fast as clients drain)")
+	rate := fs.Float64("rate", 0, "paced tweets per second; a client a buffer behind is disconnected (0 = unpaced: wait for slow clients, lose nothing)")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /healthz, /debug/pprof, /debug/vars on this address (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -808,22 +808,8 @@ func cmdReplay(args []string) error {
 		for b.NumSubscribers() == 0 && ctx.Err() == nil {
 			time.Sleep(20 * time.Millisecond)
 		}
-		var tick *time.Ticker
-		if *rate > 0 {
-			tick = time.NewTicker(time.Duration(float64(time.Second) / *rate))
-			defer tick.Stop()
-		}
-		for _, t := range tweets {
-			if tick != nil {
-				select {
-				case <-tick.C:
-				case <-ctx.Done():
-					return
-				}
-			} else if ctx.Err() != nil {
-				return
-			}
-			b.Publish(t)
+		if replayTweets(ctx, b, tweets, *rate) != nil {
+			return
 		}
 		fmt.Fprintln(os.Stderr, "replay complete; closing stream")
 		b.Close()
@@ -833,6 +819,48 @@ func cmdReplay(args []string) error {
 		return nil
 	}
 	return err
+}
+
+// replayPaceTick is the paced replay's release interval: each tick
+// publishes every tweet the requested rate has made due since the start,
+// so the rate holds however far below it a per-tweet ticker would fall.
+const replayPaceTick = 10 * time.Millisecond
+
+// replayTweets publishes the corpus in order and returns nil once every
+// tweet is out, or ctx.Err() if ctx ends first. At rate 0 it runs
+// unpaced with PublishWait, so a subscriber that drains slowly slows the
+// replay instead of being disconnected and losing tweets. At a positive
+// rate it paces in floor(elapsed·rate) batches per replayPaceTick, and a
+// subscriber that falls a buffer behind is disconnected like on the real
+// Stream API.
+func replayTweets(ctx context.Context, b *twitter.Broadcaster, tweets []twitter.Tweet, rate float64) error {
+	if rate <= 0 {
+		for _, t := range tweets {
+			if _, err := b.PublishWait(ctx, t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	tick := time.NewTicker(replayPaceTick)
+	defer tick.Stop()
+	start := time.Now()
+	sent := 0
+	for sent < len(tweets) {
+		select {
+		case <-tick.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		due := len(tweets)
+		if f := time.Since(start).Seconds() * rate; f < float64(due) {
+			due = int(f)
+		}
+		for ; sent < due; sent++ {
+			b.Publish(tweets[sent])
+		}
+	}
+	return nil
 }
 
 func cmdKeywords(args []string) error {

@@ -28,7 +28,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", ":9090", "listen address for the telemetry + /api endpoints")
 	reloadEvery := fs.Duration("reload-every", 10*time.Second, "poll the checkpoint mtime and republish on change (0 = serve the initial load only)")
 	k := fs.Int("k", 12, "user cluster count (Figure 7)")
-	sil := fs.Int("silhouette-sample", 2000, "silhouette sample size (0 = exact)")
+	sil := fs.Int("silhouette-sample", 0, "sweep silhouette sample size (0 = exact over all users)")
 	workers := fs.Int("workers", 0, "analysis workers (0 = GOMAXPROCS)")
 	top := fs.Int("serve-top", 250, "top mentioning users retained per snapshot for /api/top")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug|info|warn|error")

@@ -234,7 +234,7 @@ func cmdMerge(args []string) error {
 	noAnalyze := fs.Bool("no-analyze", false, "merge (and -out save) only; skip printing the analysis")
 	k := fs.Int("k", 12, "user cluster count (Figure 7)")
 	sweep := fs.String("sweep", "", "comma-separated ks for the model-selection sweep")
-	sil := fs.Int("silhouette-sample", 2000, "silhouette sample size (0 = exact)")
+	sil := fs.Int("silhouette-sample", 0, "sweep silhouette sample size (0 = exact over all users)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

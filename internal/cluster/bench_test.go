@@ -90,3 +90,19 @@ func BenchmarkSweepK(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSweepKPaperShape is the analyze sweep at the paper's shape:
+// 72k users × 6 organs whose normalized count rows repeat heavily (as
+// Û's do), the default ks, and exact silhouettes. Unlike the continuous
+// random rows above, this input exercises the distinct-row view.
+func BenchmarkSweepKPaperShape(b *testing.B) {
+	m := dupMatrix(72000, 1)
+	ks := []int{6, 8, 10, 12, 14, 16}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SweepKDense(m, ks, 1, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -264,3 +264,49 @@ func TestConcurrentSweepKRace(t *testing.T) {
 		}
 	}
 }
+
+// TestViewWorkersBitIdentical extends the parallel-determinism contract
+// to the weighted distinct-row view: K-Means, the whole sweep (exact
+// silhouettes) and a silhouette whose labelling splits duplicate rows
+// must be bit-identical for 1, 2 and 8 workers.
+func TestViewWorkersBitIdentical(t *testing.T) {
+	m := dupMatrix(4000, 17)
+	ks := []int{6, 8, 12}
+	type outcome struct {
+		fit   *KMeansResult
+		sweep []SweepResult
+		sil   float64
+	}
+	run := func(w int) outcome {
+		fit, err := KMeansDense(m, KMeansConfig{K: 12, Seed: 5, Restarts: 2, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep, err := SweepKDense(m, ks, 5, 0, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split := make([]int, len(fit.Labels))
+		for i, l := range fit.Labels {
+			split[i] = (l + i%2) % 12
+		}
+		sil, err := SilhouetteDense(m, split, Euclidean, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{fit, sweep, sil}
+	}
+	base := run(1)
+	for _, w := range []int{2, 8} {
+		got := run(w)
+		if !reflect.DeepEqual(got.fit, base.fit) {
+			t.Fatalf("workers=%d K-Means differs from sequential", w)
+		}
+		if !reflect.DeepEqual(got.sweep, base.sweep) {
+			t.Fatalf("workers=%d sweep %+v, want %+v", w, got.sweep, base.sweep)
+		}
+		if got.sil != base.sil {
+			t.Fatalf("workers=%d silhouette %v, want %v (bit-identical)", w, got.sil, base.sil)
+		}
+	}
+}

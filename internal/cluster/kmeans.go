@@ -64,12 +64,32 @@ func KMeans(rows [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
 }
 
 // KMeansDense is KMeans over a flat row-major matrix, without copying
-// the data.
+// the data. It runs on the matrix's weighted distinct-row view (see
+// rowView): the same k-means++ picks, labels, sizes and — to the last
+// few ulps — inertia and centroids as Lloyd over every row, at a cost
+// that scales with the distinct rows rather than the users.
 func KMeansDense(m *mat.Dense, cfg KMeansConfig) (*KMeansResult, error) {
-	n := m.Rows()
-	if cfg.K < 1 || cfg.K > n {
-		return nil, fmt.Errorf("cluster: kmeans k=%d with n=%d", cfg.K, n)
+	if err := checkK(cfg.K, m.Rows()); err != nil {
+		return nil, err
 	}
+	v := newRowView(m, nil)
+	res := kmeansView(&v, cfg)
+	res.Labels = v.expand(res.Labels)
+	return res, nil
+}
+
+// checkK rejects a cluster count outside [1, n].
+func checkK(k, n int) error {
+	if k < 1 || k > n {
+		return fmt.Errorf("cluster: kmeans k=%d with n=%d", k, n)
+	}
+	return nil
+}
+
+// kmeansView runs cfg.Restarts cold K-Means restarts over the view and
+// returns the lowest-inertia one, with labels per distinct row.
+// cfg.K must already be validated against v.users.
+func kmeansView(v *rowView, cfg KMeansConfig) *KMeansResult {
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
 		maxIter = 100
@@ -92,7 +112,7 @@ func KMeansDense(m *mat.Dense, cfg KMeansConfig) (*KMeansResult, error) {
 	results := make([]*KMeansResult, restarts)
 	parallelChunks(restarts, workers, func(attempt int) {
 		r := rand.New(rand.NewPCG(cfg.Seed, uint64(attempt)))
-		results[attempt] = kmeansOnce(m, cfg.K, maxIter, tol, r, workers)
+		results[attempt] = kmeansOnce(v, cfg.K, maxIter, tol, r, workers)
 	})
 	best := results[0]
 	for _, res := range results[1:] {
@@ -100,7 +120,7 @@ func KMeansDense(m *mat.Dense, cfg KMeansConfig) (*KMeansResult, error) {
 			best = res
 		}
 	}
-	return best, nil
+	return best
 }
 
 // kmeansRun is the per-restart state of the pruned Lloyd iteration. All
@@ -109,6 +129,7 @@ func KMeansDense(m *mat.Dense, cfg KMeansConfig) (*KMeansResult, error) {
 // run bit-identical for any worker count.
 type kmeansRun struct {
 	data    []float64 // n×dim row-major points
+	weight  []int     // multiplicity per point; nil means every weight is 1
 	n, dim  int
 	k       int
 	workers int
@@ -116,7 +137,7 @@ type kmeansRun struct {
 	pos    []float64 // k×dim current centroid positions
 	oldPos []float64 // k×dim scratch for the previous positions
 	sums   []float64 // k×dim running per-cluster vector sums
-	counts []int     // points per cluster (maintained incrementally)
+	counts []int     // weighted points per cluster (maintained incrementally)
 
 	labels []int
 	upper  []float64 // u(i): upper bound on d(x_i, pos[labels[i]])
@@ -138,11 +159,12 @@ type kmeansChunk struct {
 	farD      float64
 }
 
-func kmeansOnce(m *mat.Dense, k, maxIter int, tol float64, r *rand.Rand, workers int) *KMeansResult {
-	n, dim := m.Rows(), m.Cols()
+// newKMeansRun allocates the per-run state for n×dim points (weight
+// nil = unweighted) starting from the given k×dim centroid positions.
+func newKMeansRun(data []float64, weight []int, n, dim, k, workers int, pos []float64) *kmeansRun {
 	run := &kmeansRun{
-		data: m.Data(), n: n, dim: dim, k: k, workers: workers,
-		pos:    kmeansPlusPlusInit(m, k, r),
+		data: data, weight: weight, n: n, dim: dim, k: k, workers: workers,
+		pos:    pos,
 		oldPos: make([]float64, k*dim),
 		sums:   make([]float64, k*dim),
 		counts: make([]int, k),
@@ -157,7 +179,15 @@ func kmeansOnce(m *mat.Dense, k, maxIter int, tol float64, r *rand.Rand, workers
 	for i := range run.parts {
 		run.parts[i] = kmeansChunk{deltaSums: make([]float64, k*dim), deltaCnt: make([]int, k)}
 	}
+	return run
+}
 
+// kmeansOnce is one cold restart over the view: k-means++ over the
+// users, then weighted Lloyd over the distinct rows. Labels are per
+// distinct row.
+func kmeansOnce(v *rowView, k, maxIter int, tol float64, r *rand.Rand, workers int) *KMeansResult {
+	dim := v.dim
+	run := newKMeansRun(v.data, v.weight, v.rows, dim, k, workers, kmeansPlusPlusInit(v, k, r))
 	run.initialAssign()
 	iter := 0
 	for ; iter < maxIter; iter++ {
@@ -195,8 +225,9 @@ func (run *kmeansRun) initialAssign() {
 			run.labels[i] = bi
 			run.upper[i] = math.Sqrt(bd)
 			run.lower[i] = math.Sqrt(sd)
-			p.deltaCnt[bi]++
-			addTo(p.deltaSums[bi*run.dim:(bi+1)*run.dim], row)
+			w := run.w(i)
+			p.deltaCnt[bi] += w
+			addScaled(p.deltaSums[bi*run.dim:(bi+1)*run.dim], row, float64(w))
 		}
 	})
 	run.foldDeltas()
@@ -252,11 +283,12 @@ func (run *kmeansRun) assignPruned() {
 			}
 			if bi != a {
 				run.labels[i] = bi
-				p.deltaCnt[a]--
-				p.deltaCnt[bi]++
+				w := run.w(i)
+				p.deltaCnt[a] -= w
+				p.deltaCnt[bi] += w
 				dim := run.dim
-				subFrom(p.deltaSums[a*dim:(a+1)*dim], row)
-				addTo(p.deltaSums[bi*dim:(bi+1)*dim], row)
+				addScaled(p.deltaSums[a*dim:(a+1)*dim], row, -float64(w))
+				addScaled(p.deltaSums[bi*dim:(bi+1)*dim], row, float64(w))
 			}
 		}
 	})
@@ -301,8 +333,8 @@ func (run *kmeansRun) updateCentroids() float64 {
 }
 
 // finalAssign runs one exact pass against the final centroids and
-// returns fresh labels, sizes, and the exact inertia, folded in chunk
-// order.
+// returns fresh labels, weighted sizes, and the exact inertia Σ w·d²,
+// folded in chunk order.
 func (run *kmeansRun) finalAssign() ([]int, []int, float64) {
 	type finalPart struct {
 		sizes   []int
@@ -315,8 +347,9 @@ func (run *kmeansRun) finalAssign() ([]int, []int, float64) {
 		for i := lo; i < hi; i++ {
 			bi, bd, _ := run.closestTwo(run.row(i))
 			run.labels[i] = bi
-			parts[c].sizes[bi]++
-			parts[c].inertia += bd
+			w := run.w(i)
+			parts[c].sizes[bi] += w
+			parts[c].inertia += float64(w) * bd
 		}
 	})
 	sizes := make([]int, run.k)
@@ -361,6 +394,14 @@ func (run *kmeansRun) chunkBounds(c int) (int, int) {
 
 func (run *kmeansRun) row(i int) []float64 {
 	return run.data[i*run.dim : (i+1)*run.dim]
+}
+
+// w returns point i's weight.
+func (run *kmeansRun) w(i int) int {
+	if run.weight == nil {
+		return 1
+	}
+	return run.weight[i]
 }
 
 func (run *kmeansRun) resetChunk(p *kmeansChunk) {
@@ -451,39 +492,35 @@ func sqDistTo(a, b []float64) float64 {
 	return s
 }
 
-func addTo(dst, src []float64) {
+// addScaled adds w·src to dst. A weight of ±1 is exact (w·x = ±x), so
+// an unweighted run sums exactly as plain additions would.
+func addScaled(dst, src []float64, w float64) {
 	for j, v := range src {
-		dst[j] += v
-	}
-}
-
-func subFrom(dst, src []float64) {
-	for j, v := range src {
-		dst[j] -= v
+		dst[j] += w * v
 	}
 }
 
 // kmeansPlusPlusInit seeds centroids with the k-means++ scheme: first
 // centroid uniform, each next one sampled proportionally to the squared
-// distance from the nearest already-chosen centroid. It consumes the
-// same RNG sequence as the historical [][]float64 implementation, so
-// seeds keep selecting the same starting points.
-func kmeansPlusPlusInit(m *mat.Dense, k int, r *rand.Rand) []float64 {
-	n, dim := m.Rows(), m.Cols()
-	data := m.Data()
+// distance from the nearest already-chosen centroid. The draw walks the
+// users, not the distinct rows, looking each user's d² up by its row:
+// the RNG calls, the order of the total's summation and every pick are
+// those of the historical per-user implementation, so seeds keep
+// selecting the same starting points. Only the d² updates run per row.
+func kmeansPlusPlusInit(v *rowView, k int, r *rand.Rand) []float64 {
+	n, dim := v.users, v.dim
 	centroids := make([]float64, dim, k*dim)
-	first := r.IntN(n)
-	copy(centroids, data[first*dim:(first+1)*dim])
+	copy(centroids, v.row(v.rowOf(r.IntN(n))))
 
-	d2 := make([]float64, n)
+	d2 := make([]float64, v.rows)
 	last := centroids[:dim]
 	for i := range d2 {
-		d2[i] = sqDistTo(data[i*dim:i*dim+dim], last)
+		d2[i] = sqDistTo(v.row(i), last)
 	}
 	for chosen := 1; chosen < k; chosen++ {
 		total := 0.0
-		for _, d := range d2 {
-			total += d
+		for i := 0; i < n; i++ {
+			total += d2[v.rowOf(i)]
 		}
 		var idx int
 		if total == 0 {
@@ -491,18 +528,18 @@ func kmeansPlusPlusInit(m *mat.Dense, k int, r *rand.Rand) []float64 {
 			idx = r.IntN(n)
 		} else {
 			x := r.Float64() * total
-			for i, d := range d2 {
-				x -= d
+			for i := 0; i < n; i++ {
+				x -= d2[v.rowOf(i)]
 				if x <= 0 {
 					idx = i
 					break
 				}
 			}
 		}
-		centroids = append(centroids, data[idx*dim:(idx+1)*dim]...)
+		centroids = append(centroids, v.row(v.rowOf(idx))...)
 		last = centroids[chosen*dim : (chosen+1)*dim]
 		for i := range d2 {
-			if d := sqDistTo(data[i*dim:i*dim+dim], last); d < d2[i] {
+			if d := sqDistTo(v.row(i), last); d < d2[i] {
 				d2[i] = d
 			}
 		}

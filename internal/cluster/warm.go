@@ -65,8 +65,8 @@ func (ws *KMeansWarmState) compatible(n, dim, k int) bool {
 // the final assignment pass.
 func KMeansDenseWarm(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KMeansResult, *KMeansWarmState, bool, error) {
 	n, dim := m.Rows(), m.Cols()
-	if cfg.K < 1 || cfg.K > n {
-		return nil, nil, false, fmt.Errorf("cluster: kmeans k=%d with n=%d", cfg.K, n)
+	if err := checkK(cfg.K, n); err != nil {
+		return nil, nil, false, err
 	}
 	if warm.compatible(n, dim, cfg.K) {
 		for _, l := range warm.Labels {
@@ -100,24 +100,7 @@ func kmeansResume(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KMean
 	}
 	workers := resolveWorkers(cfg.Workers)
 
-	run := &kmeansRun{
-		data: m.Data(), n: n, dim: dim, k: k, workers: workers,
-		pos:    append([]float64(nil), warm.Centroids...),
-		oldPos: make([]float64, k*dim),
-		sums:   make([]float64, k*dim),
-		counts: make([]int, k),
-		labels: make([]int, n),
-		upper:  make([]float64, n),
-		lower:  make([]float64, n),
-		half:   make([]float64, k),
-		drift:  make([]float64, k),
-	}
-	nChunks := (n + assignChunkRows - 1) / assignChunkRows
-	run.parts = make([]kmeansChunk, nChunks)
-	for i := range run.parts {
-		run.parts[i] = kmeansChunk{deltaSums: make([]float64, k*dim), deltaCnt: make([]int, k)}
-	}
-
+	run := newKMeansRun(m.Data(), nil, n, dim, k, workers, append([]float64(nil), warm.Centroids...))
 	run.warmAssign(warm)
 	iter := 0
 	for ; iter < maxIter; iter++ {
@@ -154,7 +137,7 @@ func (run *kmeansRun) warmAssign(warm *KMeansWarmState) {
 			}
 			li := run.labels[i]
 			p.deltaCnt[li]++
-			addTo(p.deltaSums[li*run.dim:(li+1)*run.dim], row)
+			addScaled(p.deltaSums[li*run.dim:(li+1)*run.dim], row, 1)
 			if run.upper[i] > p.farD {
 				p.farD, p.farIdx = run.upper[i], i
 			}

@@ -47,7 +47,7 @@ func lloydFixedPoint(t *testing.T, m *mat.Dense, res *KMeansResult, tol float64)
 			t.Fatalf("point %d labeled %d, nearest centroid %d", i, res.Labels[i], bi)
 		}
 		counts[bi]++
-		addTo(sums[bi*dim:(bi+1)*dim], row)
+		addScaled(sums[bi*dim:(bi+1)*dim], row, 1)
 	}
 	for c := 0; c < res.K; c++ {
 		if counts[c] == 0 {

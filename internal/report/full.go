@@ -53,7 +53,9 @@ type AnalysisConfig struct {
 	// SweepKs lists the ks for the model-selection sweep; empty skips
 	// the sweep.
 	SweepKs []int
-	// SilhouetteSample bounds silhouette computations (0 = exact).
+	// SilhouetteSample averages each sweep silhouette over this many
+	// seeded users (0 = the exact mean over all users, the default; the
+	// exact pass costs O(distinct rows²), see cluster.SweepKDense).
 	SilhouetteSample int
 	// Seed drives K-Means initialization.
 	Seed uint64
@@ -67,10 +69,9 @@ type AnalysisConfig struct {
 // DefaultAnalysisConfig mirrors the paper's choices.
 func DefaultAnalysisConfig() AnalysisConfig {
 	return AnalysisConfig{
-		KUsers:           12,
-		SweepKs:          []int{6, 8, 10, 12, 14, 16},
-		SilhouetteSample: 2000,
-		Seed:             1,
+		KUsers:  12,
+		SweepKs: []int{6, 8, 10, 12, 14, 16},
+		Seed:    1,
 	}
 }
 

@@ -3,6 +3,7 @@ package twitter
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -196,6 +197,64 @@ func TestBroadcasterDropsStalledSubscriber(t *testing.T) {
 	}
 	if _, open := <-ch; open {
 		t.Error("dropped subscriber channel not closed")
+	}
+}
+
+// TestBroadcasterPublishWaitBlocksOnFullBuffer: PublishWait waits for a
+// full subscriber instead of dropping it, delivers once the subscriber
+// drains, and returns ctx.Err() when the context ends first.
+func TestBroadcasterPublishWaitBlocksOnFullBuffer(t *testing.T) {
+	b := NewBroadcaster()
+	defer b.Close()
+	ch, cancel := b.Subscribe(1, nil)
+	defer cancel()
+	tw := sampleTweet()
+	if n, err := b.PublishWait(context.Background(), tw); n != 1 || err != nil {
+		t.Fatalf("PublishWait into room = (%d, %v)", n, err)
+	}
+	done := make(chan int, 1)
+	go func() {
+		n, _ := b.PublishWait(context.Background(), tw)
+		done <- n
+	}()
+	<-ch // make room; the blocked publish completes
+	if n := <-done; n != 1 {
+		t.Fatalf("blocked PublishWait delivered to %d, want 1", n)
+	}
+	if b.NumSubscribers() != 1 {
+		t.Fatal("PublishWait disconnected a slow subscriber")
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	stop()
+	if _, err := b.PublishWait(ctx, tw); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PublishWait on a full buffer after cancel = %v, want context.Canceled", err)
+	}
+}
+
+// TestBroadcasterPublishWaitDetachRace detaches subscribers — by cancel
+// and by Close — while PublishWait sends to their full buffers are in
+// flight; no send may meet a closed channel (the race detector and a
+// send-on-closed panic would both catch it) and every channel must end
+// closed.
+func TestBroadcasterPublishWaitDetachRace(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		b := NewBroadcaster()
+		ch1, cancel1 := b.Subscribe(1, nil)
+		ch2, _ := b.Subscribe(1, nil)
+		published := make(chan struct{})
+		go func() {
+			defer close(published)
+			for i := 0; i < 4; i++ {
+				b.PublishWait(context.Background(), sampleTweet())
+			}
+		}()
+		cancel1()
+		b.Close()
+		<-published
+		for _, ch := range []<-chan Tweet{ch1, ch2} {
+			for range ch {
+			}
+		}
 	}
 }
 
